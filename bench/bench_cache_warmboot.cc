@@ -296,8 +296,6 @@ int main(int argc, char** argv) {
           .Value(sigmas_flag)
           .Key("overlap_sigmas")
           .Value(overlap_flag)
-          .Key("cell_scheduling")
-          .Value(config.scheduling)
           .Key("cache_root")
           .Value(cache_root)
           .EndObject();

@@ -308,10 +308,8 @@ const ScheduleResult& MethodContext::Acs() {
   if (span.enabled()) {
     span.Arg("cache", "miss");
   }
-  cache_->acs = scheduler_->warm_start_acs_with_wcs
-                    ? SolveSchedule(*fps_, *dvs_, Scenario::kAverage,
-                                    *scheduler_, Wcs().schedule, workspace_)
-                    : SolveAcs(*fps_, *dvs_, *scheduler_, workspace_);
+  cache_->acs = SolveSchedule(*fps_, *dvs_, Scenario::kAverage, *scheduler_,
+                              Wcs().schedule, workspace_);
   return *cache_->acs;
 }
 
@@ -400,7 +398,7 @@ const ScheduleResult& MethodContext::PlannedChained(
     // polishes instead of re-running the cold tolerance ramp.
     warm_start = warm->schedule;
     dual_seed = &warm->alm;
-  } else if (scheduler_->warm_start_acs_with_wcs) {
+  } else {
     warm_start = Wcs().schedule;
   }
   cache_->planned.push_back(std::make_unique<SolveCache::PlannedSolve>(

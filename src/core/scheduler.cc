@@ -231,10 +231,10 @@ ScheduleResult SolveAcs(const fps::FullyPreemptiveSchedule& fps,
                         const model::DvsModel& dvs,
                         const SchedulerOptions& options,
                         EvalWorkspace* workspace) {
-  std::optional<sim::StaticSchedule> warm;
-  if (options.warm_start_acs_with_wcs) {
-    warm = SolveWcs(fps, dvs, options, workspace).schedule;
-  }
+  // ACS warm-starts from the solved WCS schedule: WCS is both the paper's
+  // baseline and a good feasible incumbent.
+  const std::optional<sim::StaticSchedule> warm =
+      SolveWcs(fps, dvs, options, workspace).schedule;
   return SolveSchedule(fps, dvs, Scenario::kAverage, options, warm, workspace);
 }
 

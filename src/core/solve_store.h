@@ -58,7 +58,7 @@ namespace dvs::core {
 
 /// Bump on ANY change to the entry layout or to solver arithmetic that can
 /// alter solve bits: version-mismatched files are rejected wholesale.
-inline constexpr std::uint32_t kSolveStoreSchemaVersion = 1;
+inline constexpr std::uint32_t kSolveStoreSchemaVersion = 2;
 
 /// Concrete-parameter description of a DvsModel — the model's persistable
 /// identity.  DescribeModel recognises the three library models by

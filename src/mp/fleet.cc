@@ -38,6 +38,14 @@ FleetResult EvaluateFleet(
   result.outcomes.resize(methods.size());
 
   const bool dpm = options.dpm.enabled;
+  // Without a caller workspace, a call-local one still shares the subset
+  // solves between this cell's spans.
+  std::optional<core::EvalWorkspace> local_workspace;
+  if (workspace == nullptr) {
+    local_workspace.emplace();
+  }
+  core::EvalWorkspace& ws =
+      workspace != nullptr ? *workspace : *local_workspace;
 
   // Cross-hyper-period reallocation (core shutdown): consolidate once, run
   // the partitioner's assignment for the first `realloc_after` hyper-periods
@@ -129,45 +137,29 @@ FleetResult EvaluateFleet(
 
       // One context per core: the WCS/ACS/Vmax-ASAP solves amortise across
       // the methods, and every method sees this core's identical workload
-      // stream.  With a workspace the subset's expansion and solves live in
-      // its SubsetKey-addressed cache — shared with any other cell that put
-      // the same tasks on some core (including the other span of this very
+      // stream.  The subset's expansion and solves live in the workspace's
+      // SubsetKey-addressed cache — shared with any other cell that put the
+      // same tasks on some core (including the other span of this very
       // cell) — and the solves/simulations reuse the calling thread's
       // scratch buffers.  Workload streams stay keyed by the physical core
       // index, so cached solves never change what a cell simulates.
-      std::optional<model::TaskSet> local_subset;
-      std::optional<fps::FullyPreemptiveSchedule> local_fps;
-      core::EvalWorkspace::PreparedCell* prep = nullptr;
-      if (workspace != nullptr) {
-        prep = &workspace->PrepareSubset(core::SubsetKey(set_key, owned), set,
-                                         owned, dvs, core_options.scheduler);
-      } else {
-        local_subset.emplace(SubTaskSet(set, owned));
-        local_fps.emplace(*local_subset);
-      }
-      const model::TaskSet& subset =
-          prep != nullptr ? prep->set : *local_subset;
-      const fps::FullyPreemptiveSchedule& fps =
-          prep != nullptr ? prep->fps : *local_fps;
+      core::EvalWorkspace::PreparedCell& prep = ws.PrepareSubset(
+          core::SubsetKey(set_key, owned), set, owned, dvs,
+          core_options.scheduler);
       if (s == 0) {
-        result.sub_instances += fps.sub_count();
+        result.sub_instances += prep.fps.sub_count();
       }
       // TaskSet validation guarantees a positive hyper-period; the guard
       // keeps the per-ms normalisation from ever dividing by zero
       // regardless.
-      const double hyper_period = static_cast<double>(subset.hyper_period());
+      const double hyper_period = static_cast<double>(prep.set.hyper_period());
       ACS_REQUIRE(hyper_period > 0.0, "subset hyper-period must be positive");
 
-      std::optional<core::MethodContext> context;
-      if (workspace != nullptr) {
-        context.emplace(fps, dvs, core_options.scheduler, *workspace,
-                        prep->solves);
-      } else {
-        context.emplace(fps, dvs, core_options.scheduler);
-      }
+      core::MethodContext context(prep.fps, dvs, core_options.scheduler, ws,
+                                  prep.solves);
       for (std::size_t m = 0; m < methods.size(); ++m) {
         const core::MethodOutcome outcome =
-            core::EvaluateMethod(*methods[m], *context, core_options);
+            core::EvaluateMethod(*methods[m], context, core_options);
         FleetOutcome& fleet = result.outcomes[m];
         fleet.per_core.push_back(outcome);
         fleet.fleet.measured_energy +=

@@ -69,15 +69,16 @@ struct FleetResult {
 
 /// Partitions `set` onto `cores` cores with `partitioner` and evaluates
 /// every method on every powered core.  Throws util::InfeasibleError when
-/// the partitioner cannot place some task.  `workspace` (optional) is the
-/// calling thread's core::EvalWorkspace: every per-core solve and
-/// simulation then runs out of its reused buffers, and each core's subset
-/// solves are cached under core::SubsetKey(set_key, owned tasks) — cells
-/// that assign the same tasks to some core (different partitioners, core
-/// counts, sigma or workload seeds on one draw) reuse the solves outright.
-/// Bit-identical results either way; `set_key` is the caller's identity for
-/// `set` (runner::RunGrid passes the grid SetIndex) and pure cache salt —
-/// a colliding key still verifies the task set before reusing anything.
+/// the partitioner cannot place some task.  `workspace` is the calling
+/// thread's core::EvalWorkspace (null: a call-local one): every per-core
+/// solve and simulation runs out of its reused buffers, and each core's
+/// subset solves are cached under core::SubsetKey(set_key, owned tasks) —
+/// cells that assign the same tasks to some core (different partitioners,
+/// core counts, sigma or workload seeds on one draw) reuse the solves
+/// outright.  Bit-identical results either way; `set_key` is the caller's
+/// identity for `set` (runner::RunGrid passes the grid SetIndex) and pure
+/// cache salt — a colliding key still verifies the task set before reusing
+/// anything.
 FleetResult EvaluateFleet(
     const model::TaskSet& set, const model::DvsModel& dvs,
     const Partitioner& partitioner, int cores,

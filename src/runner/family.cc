@@ -8,6 +8,22 @@
 namespace dvs::runner {
 namespace {
 
+// Cost-model weights, in arbitrary but mutually consistent units
+// (calibrated from solve.wall_us / cell.wall_us traces: one ALM solve of
+// a 6-task set costs roughly 400x one simulated hyper-period).
+
+/// Fixed cost of one NLP solve (ALM outer loop + repair).
+constexpr double kSolveBase = 200.0;
+/// Additional solve cost per task (the reduced NLP's variable count —
+/// and with it SPG iteration cost — grows with the expansion).
+constexpr double kSolvePerTask = 40.0;
+/// Cost of simulating one hyper-period of one method.
+constexpr double kSimPerHyperPeriod = 1.0;
+/// Fixed per-cell overhead (task-set draw, context setup, sinks).
+constexpr double kCellBase = 25.0;
+/// Cost of one scenario calibration (sampling + sorting the draws).
+constexpr double kCalibration = 120.0;
+
 /// Task count of the set a SetIndex draws (fixed size or the generator's
 /// num_tasks) — the solve-cost driver that actually varies across sources.
 std::size_t TasksOfSet(const ExperimentGrid& grid, std::size_t set_index) {
@@ -59,8 +75,7 @@ std::size_t FamilySchedule::WorkerCells(std::size_t worker) const {
   return total;
 }
 
-double FamilyCost(const ExperimentGrid& grid, std::size_t set_index,
-                  const FamilyCostWeights& weights) {
+double FamilyCost(const ExperimentGrid& grid, std::size_t set_index) {
   const std::size_t tasks = TasksOfSet(grid, set_index);
   const std::size_t methods = grid.methods.size();
   const std::size_t planning_arms = PlanningArmCount(grid);
@@ -90,8 +105,7 @@ double FamilyCost(const ExperimentGrid& grid, std::size_t set_index,
                           static_cast<double>(partitioners)
                     : 1.0;
   const double solve_unit =
-      weights.solve_base +
-      weights.solve_per_task * static_cast<double>(tasks);
+      kSolveBase + kSolvePerTask * static_cast<double>(tasks);
   const double shared_solves = 3.0;
   const double planned_solves = static_cast<double>(planning_arms) *
                                 static_cast<double>(scenarios) *
@@ -102,18 +116,17 @@ double FamilyCost(const ExperimentGrid& grid, std::size_t set_index,
           : 0.0;
 
   return core_factor * (shared_solves + planned_solves) * solve_unit +
-         calibrations * weights.calibration +
+         calibrations * kCalibration +
          static_cast<double>(cells) *
-             (weights.cell_base +
-              weights.sim_per_hyper_period *
+             (kCellBase +
+              kSimPerHyperPeriod *
                   static_cast<double>(methods) *
                   static_cast<double>(grid.hyper_periods));
 }
 
 FamilySchedule BuildFamilySchedule(const ExperimentGrid& grid,
                                    std::size_t set_begin, std::size_t set_end,
-                                   std::size_t workers,
-                                   const FamilyCostWeights& weights) {
+                                   std::size_t workers) {
   ACS_REQUIRE(workers >= 1, "family schedule needs at least one worker");
   const std::size_t set_count = grid.SetCount();
   ACS_REQUIRE(set_begin <= set_end && set_end <= set_count,
@@ -136,7 +149,7 @@ FamilySchedule BuildFamilySchedule(const ExperimentGrid& grid,
     family.set_index = set_index;
     family.begin = set_index * cells_per_set;
     family.end = family.begin + cells_per_set;
-    family.cost = FamilyCost(grid, set_index, weights);
+    family.cost = FamilyCost(grid, set_index);
     schedule.families.push_back(family);
   }
 

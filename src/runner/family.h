@@ -2,13 +2,13 @@
 //
 // The per-worker core::EvalWorkspace caches per-*task-set* state — the FPS
 // expansion, the WCS/ACS/Vmax-ASAP solves, the planned-solve and
-// calibration caches — keyed by the grid's SetIndex.  The cursor handout
-// (ThreadPool::ParallelFor) scatters a set's sibling cells across workers,
-// so each worker re-solves what a sibling's worker already holds.  A
-// *family* is the contiguous run of cell indices owned by one SetIndex;
-// scheduling whole families onto workers keeps every set's solves on
-// exactly one worker's cache (modulo stealing), which is where the
-// solve-cache hit-rate gain at 4+ threads comes from.
+// calibration caches — keyed by the grid's SetIndex.  Handing cells out
+// one at a time would scatter a set's sibling cells across workers, so each
+// worker would re-solve what a sibling's worker already holds.  A *family*
+// is the contiguous run of cell indices owned by one SetIndex; scheduling
+// whole families onto workers keeps every set's solves on exactly one
+// worker's cache (modulo stealing), which is where the solve-cache hit-rate
+// gain at 4+ threads comes from.
 //
 // Assignment is longest-processing-time (LPT) over a per-family cost model
 // whose weights were calibrated from the phase-trace telemetry of grid
@@ -34,38 +34,13 @@
 
 namespace dvs::runner {
 
-/// How RunGrid hands cells to workers.
-enum class CellScheduling {
-  /// Families (one per SetIndex) LPT-assigned to workers, stolen whole.
-  kFamilyAffinity,
-  /// The legacy atomic-cursor handout, one cell at a time.
-  kCursor,
-};
-
-/// Cost-model weights, in arbitrary but mutually consistent units
-/// (calibrated from solve.wall_us / cell.wall_us traces: one ALM solve of
-/// a 6-task set costs roughly 400x one simulated hyper-period).
-struct FamilyCostWeights {
-  /// Fixed cost of one NLP solve (ALM outer loop + repair).
-  double solve_base = 200.0;
-  /// Additional solve cost per task (the reduced NLP's variable count —
-  /// and with it SPG iteration cost — grows with the expansion).
-  double solve_per_task = 40.0;
-  /// Cost of simulating one hyper-period of one method.
-  double sim_per_hyper_period = 1.0;
-  /// Fixed per-cell overhead (task-set draw, context setup, sinks).
-  double cell_base = 25.0;
-  /// Cost of one scenario calibration (sampling + sorting the draws).
-  double calibration = 120.0;
-};
-
 /// One family: the contiguous cell-index run of one task-set draw.
 struct CellFamily {
   std::size_t id = 0;         // dense, ascending with begin
   std::size_t set_index = 0;  // the owning SetIndex
   std::size_t begin = 0;      // first cell index
   std::size_t end = 0;        // one past the last cell index
-  double cost = 0.0;          // modelled cost (see FamilyCostWeights)
+  double cost = 0.0;          // modelled cost (see FamilyCost)
 
   std::size_t CellCount() const { return end - begin; }
 };
@@ -84,18 +59,16 @@ struct FamilySchedule {
 /// Modelled evaluation cost of one family of `grid` (`set_index` selects
 /// the source/replicate/util draw; the per-cell inner axes are implied by
 /// the grid shape).
-double FamilyCost(const ExperimentGrid& grid, std::size_t set_index,
-                  const FamilyCostWeights& weights = {});
+double FamilyCost(const ExperimentGrid& grid, std::size_t set_index);
 
 /// Builds the family schedule of the shard window [set_begin, set_end):
-/// one family per in-window SetIndex, costed with `weights` and
+/// one family per in-window SetIndex, costed with FamilyCost and
 /// LPT-assigned to `workers` workers (largest cost first, least-loaded
 /// worker, deterministic tie-breaks: equal costs order by family id,
 /// equal loads pick the lowest worker).  `workers` must be >= 1.
 FamilySchedule BuildFamilySchedule(const ExperimentGrid& grid,
                                    std::size_t set_begin,
-                                   std::size_t set_end, std::size_t workers,
-                                   const FamilyCostWeights& weights = {});
+                                   std::size_t set_end, std::size_t workers);
 
 }  // namespace dvs::runner
 

@@ -286,70 +286,47 @@ GridResult RunGrid(const ExperimentGrid& grid,
     workspace.set_solve_store(options.solve_store);
   }
 
-  if (options.scheduling == CellScheduling::kFamilyAffinity) {
-    // Cache-affinity handout (runner/family.h): pre-mark the out-of-window
-    // cells serially, then schedule whole families onto workers so each
-    // task set's solves stay on one worker's cache.
-    {
-      const obs::ScopedMetricsShard shard_scope(
-          metrics != nullptr ? &metrics->Shard(0) : nullptr);
-      for (std::size_t cell_index = 0; cell_index < cell_count;
-           ++cell_index) {
-        const CellCoord coord = grid.Coord(cell_index);
-        const std::size_t set_index = grid.SetIndex(coord);
-        if (set_index < set_begin || set_index >= set_end) {
-          result.cells[cell_index].coord = coord;
-          result.cells[cell_index].skipped = true;
-          obs::Count(obs::metric::kCellsSkipped);
-        }
-      }
-    }
-    const FamilySchedule schedule =
-        BuildFamilySchedule(grid, set_begin, set_end,
-                            static_cast<std::size_t>(pool.size()),
-                            options.family_weights);
-    std::vector<std::pair<std::size_t, std::size_t>> ranges;
-    ranges.reserve(schedule.families.size());
-    for (const CellFamily& family : schedule.families) {
-      ranges.emplace_back(family.begin, family.end);
-    }
-    if (metrics != nullptr) {
-      metrics->Shard(0).SetGauge(obs::metric::kFamilyCount,
-                                 static_cast<double>(ranges.size()));
-    }
-    const FamilyStats stats = pool.ParallelForFamilies(
-        ranges, schedule.owner,
-        [&](std::size_t worker, std::size_t cell_index) {
-          const obs::ScopedMetricsShard shard_scope(
-              metrics != nullptr ? &metrics->Shard(worker) : nullptr);
-          CellResult& cell = result.cells[cell_index];
-          cell = RunCell(grid, methods, cell_index, workspaces[worker]);
-          if (options.sink != nullptr) {
-            options.sink->OnCell(grid, cell);
-          }
-        });
-    if (metrics != nullptr) {
-      MetricsShardObserveFamilyStats(*metrics, stats);
-    }
-  } else {
-    pool.ParallelFor(cell_count, [&](std::size_t worker,
-                                     std::size_t cell_index) {
-      const obs::ScopedMetricsShard shard_scope(
-          metrics != nullptr ? &metrics->Shard(worker) : nullptr);
-      CellResult& cell = result.cells[cell_index];
+  // Cache-affinity handout (runner/family.h): pre-mark the out-of-window
+  // cells serially, then schedule whole families onto workers so each
+  // task set's solves stay on one worker's cache.
+  {
+    const obs::ScopedMetricsShard shard_scope(
+        metrics != nullptr ? &metrics->Shard(0) : nullptr);
+    for (std::size_t cell_index = 0; cell_index < cell_count; ++cell_index) {
       const CellCoord coord = grid.Coord(cell_index);
       const std::size_t set_index = grid.SetIndex(coord);
       if (set_index < set_begin || set_index >= set_end) {
-        cell.coord = coord;
-        cell.skipped = true;
+        result.cells[cell_index].coord = coord;
+        result.cells[cell_index].skipped = true;
         obs::Count(obs::metric::kCellsSkipped);
-        return;
       }
-      cell = RunCell(grid, methods, cell_index, workspaces[worker]);
-      if (options.sink != nullptr) {
-        options.sink->OnCell(grid, cell);
-      }
-    });
+    }
+  }
+  const FamilySchedule schedule =
+      BuildFamilySchedule(grid, set_begin, set_end,
+                          static_cast<std::size_t>(pool.size()));
+  std::vector<std::pair<std::size_t, std::size_t>> ranges;
+  ranges.reserve(schedule.families.size());
+  for (const CellFamily& family : schedule.families) {
+    ranges.emplace_back(family.begin, family.end);
+  }
+  if (metrics != nullptr) {
+    metrics->Shard(0).SetGauge(obs::metric::kFamilyCount,
+                               static_cast<double>(ranges.size()));
+  }
+  const FamilyStats stats = pool.ParallelForFamilies(
+      ranges, schedule.owner,
+      [&](std::size_t worker, std::size_t cell_index) {
+        const obs::ScopedMetricsShard shard_scope(
+            metrics != nullptr ? &metrics->Shard(worker) : nullptr);
+        CellResult& cell = result.cells[cell_index];
+        cell = RunCell(grid, methods, cell_index, workspaces[worker]);
+        if (options.sink != nullptr) {
+          options.sink->OnCell(grid, cell);
+        }
+      });
+  if (metrics != nullptr) {
+    MetricsShardObserveFamilyStats(*metrics, stats);
   }
 
   // Flush every workspace's resident solves into the persistent store (the

@@ -1,8 +1,9 @@
 // Parallel grid execution.
 //
-// RunGrid fans the grid's cells across a chunked ThreadPool.  Every cell is
-// a pure function of (grid, cell_index): it derives its own rng stream,
-// draws or copies its task set, and evaluates every grid method on
+// RunGrid fans the grid's cells across a ThreadPool, one task-set family at
+// a time (runner/family.h).  Every cell is a pure function of
+// (grid, cell_index): it derives its own rng stream, draws or copies its
+// task set, and evaluates every grid method on
 // identical workload realisations through a per-cell core::MethodContext.
 // Results land in a vector slot owned by the cell, and aggregates are
 // computed afterwards in cell order — so an 8-thread run is bit-identical
@@ -33,7 +34,6 @@
 #include "core/eval_workspace.h"
 #include "core/method_registry.h"
 #include "runner/experiment_grid.h"
-#include "runner/family.h"
 #include "stats/summary.h"
 
 namespace dvs::core {
@@ -138,13 +138,6 @@ struct RunOptions {
   /// row set exactly (see runner/shard.h for the CSV merge).
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
-  /// Cell handout policy (see runner/family.h).  The default keeps each
-  /// task set's sibling cells — and therefore its cached solves — on one
-  /// worker; kCursor restores the legacy one-cell-at-a-time handout.
-  /// Results are bit-identical under either policy at any thread count.
-  CellScheduling scheduling = CellScheduling::kFamilyAffinity;
-  /// Cost-model weights of the family schedule (kFamilyAffinity only).
-  FamilyCostWeights family_weights;
   /// Persistent cross-run solve cache (core/solve_store.h).  Attached to
   /// every worker workspace for the duration of the run: Prepare() misses
   /// pre-seed from it, evicted and resident entries are absorbed back into

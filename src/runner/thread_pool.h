@@ -1,16 +1,16 @@
-// Chunked thread pool for embarrassingly parallel experiment grids.
+// Family-stealing thread pool for embarrassingly parallel experiment grids.
 //
-// ParallelFor hands indices out one at a time from an atomic cursor — grid
-// cells are coarse (each one solves NLPs and simulates hundreds of
-// hyper-periods), so self-balancing work stealing from a shared cursor beats
-// static chunking and keeps the tail short when cell costs vary wildly.
-// The calling thread participates as a worker, so ThreadPool(1) spawns no
-// threads and runs everything inline — the serial baseline that parallel
-// runs must match bit-for-bit (see runner/run_grid.h).
+// ParallelForFamilies hands out whole index ranges ("families", see
+// runner/family.h) from per-worker queues — grid cells are coarse (each one
+// solves NLPs and simulates hundreds of hyper-periods), so an idle worker
+// steals a whole family from the most-loaded queue to keep the tail short
+// when cell costs vary wildly.  The calling thread participates as a
+// worker, so ThreadPool(1) spawns no threads and runs everything inline —
+// the serial baseline that parallel runs must match bit-for-bit (see
+// runner/run_grid.h).
 #ifndef ACS_RUNNER_THREAD_POOL_H
 #define ACS_RUNNER_THREAD_POOL_H
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -49,30 +49,23 @@ class ThreadPool {
   /// std::thread::hardware_concurrency with a floor of 1.
   static int HardwareThreads();
 
-  /// Runs fn(i) for every i in [0, n), distributing indices across the pool.
-  /// Blocks until all indices complete.  Exceptions thrown by `fn` are
-  /// captured; the one from the lowest index is rethrown afterwards, so the
-  /// surfaced error does not depend on thread interleaving.  Not re-entrant:
-  /// one ParallelFor per pool at a time.
-  void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  /// Same, with the executing worker's index (0 = the calling thread,
-  /// 1..size()-1 = pool threads) as the first argument — the hook for
-  /// per-worker state such as core::EvalWorkspace.  Which worker runs which
-  /// index is nondeterministic; callers must not let it influence results.
-  void ParallelFor(std::size_t n,
-                   const std::function<void(std::size_t, std::size_t)>& fn);
-
-  /// Cache-affinity variant: `families[f]` is a [begin, end) index range
-  /// and `owner[f]` the worker (< size()) whose queue it starts on.  Each
+  /// Runs fn(worker, index) for every index of every family and blocks
+  /// until all complete.  `families[f]` is a [begin, end) index range and
+  /// `owner[f]` the worker (< size()) whose queue it starts on.  `worker`
+  /// is the executing worker's index (0 = the calling thread, 1..size()-1 =
+  /// pool threads) — the hook for per-worker state such as
+  /// core::EvalWorkspace.  Which worker runs which index is
+  /// nondeterministic; callers must not let it influence results.  Each
   /// worker drains its own queue front-to-back — families were enqueued in
   /// ascending id order, so an owner visits its cells in ascending index
   /// order and a 1-thread pool reproduces the serial order exactly — and an
   /// idle worker steals a whole family from the BACK of the most-loaded
   /// queue (ties: lowest victim index), keeping the steal at the far end of
-  /// the victim's locality window.  Calls fn(worker, index) for every index
-  /// of every family; exception contract as ParallelFor (lowest index
-  /// wins).  Returns what the run observed about its own scheduling.
+  /// the victim's locality window.  Exceptions thrown by `fn` are captured;
+  /// the one from the lowest index is rethrown afterwards, so the surfaced
+  /// error does not depend on thread interleaving.  Not re-entrant: one run
+  /// per pool at a time.  Returns what the run observed about its own
+  /// scheduling.
   FamilyStats ParallelForFamilies(
       const std::vector<std::pair<std::size_t, std::size_t>>& families,
       const std::vector<std::size_t>& owner,
@@ -82,8 +75,6 @@ class ThreadPool {
   static constexpr std::size_t kNoFamily = static_cast<std::size_t>(-1);
 
   void WorkerLoop(std::size_t worker);
-  void Drain(std::size_t worker);
-  void DrainCursor(std::size_t worker);
   void DrainFamilies(std::size_t worker);
   void RecordError(std::size_t index);
 
@@ -94,16 +85,11 @@ class ThreadPool {
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;
   bool shutdown_ = false;
-  std::uint64_t epoch_ = 0;  // bumped once per ParallelFor
+  std::uint64_t epoch_ = 0;  // bumped once per ParallelForFamilies
   std::size_t workers_active_ = 0;
 
-  // Current job (valid while a ParallelFor/ParallelForFamilies is in
-  // flight).  `family_mode_` routes Drain; the cursor fields serve the
-  // classic handout, the queue fields the family handout.
+  // Current job (valid while a ParallelForFamilies is in flight).
   const std::function<void(std::size_t, std::size_t)>* fn_ = nullptr;
-  bool family_mode_ = false;
-  std::size_t n_ = 0;
-  std::atomic<std::size_t> cursor_{0};
   std::exception_ptr error_;
   std::size_t error_index_ = 0;
 

@@ -181,7 +181,9 @@ double JsonValue::NumberAt(const std::string& key) const {
 namespace {
 
 /// Recursive-descent parser over the whole text; positions are byte
-/// offsets for error messages.
+/// offsets for error messages.  Recursion depth follows the input, so
+/// containers may nest at most kMaxDepth deep — far beyond the manifests
+/// and traces this reads (under 10 levels), far below a stack overflow.
 class JsonParser {
  public:
   explicit JsonParser(const std::string& text) : text_(text) {}
@@ -202,6 +204,15 @@ class JsonParser {
   void Require(bool ok, const char* message) const {
     if (!ok) {
       Fail(message);
+    }
+  }
+
+  static constexpr int kMaxDepth = 64;
+
+  /// Enters one container level; the caller leaves it with --depth_.
+  void Descend() {
+    if (++depth_ > kMaxDepth) {
+      Fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
     }
   }
 
@@ -242,9 +253,12 @@ class JsonParser {
     JsonValue value;
     switch (c) {
       case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+      case '[': {
+        Descend();
+        JsonValue container = c == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return container;
+      }
       case '"':
         value.kind = JsonValue::Kind::kString;
         value.string = ParseString();
@@ -421,6 +435,7 @@ class JsonParser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // open containers around pos_
 };
 
 }  // namespace

@@ -349,6 +349,12 @@ std::unique_ptr<model::WorkloadScenario> LoadTraceScenario(
                         field + "\"");
     }
     first_row = false;
+    // NaN compares false against both bounds below, so non-finite values
+    // are rejected on their own.
+    if (!std::isfinite(value)) {
+      throw util::Error("trace CSV " + path + ": fraction " + field +
+                        " is not a finite number");
+    }
     // The file-format boundary rejects out-of-range values outright (FP
     // noise excepted): a recording in absolute cycles would otherwise
     // clamp every job to fraction 1.0 and silently replay all-WCEC.

@@ -28,15 +28,19 @@
 #include "obs/trace.h"
 #include "runner/csv_sink.h"
 #include "runner/experiment_grid.h"
+#include "runner/golden_grids.h"
 #include "runner/run_grid.h"
 #include "util/error.h"
 #include "util/json.h"
 #include "util/simd.h"
 #include "workload/presets.h"
-#include "workload/random_taskset.h"
 
 namespace dvs::obs {
 namespace {
+
+using runner::GoldenPlanningGrid;
+using runner::GoldenSmokeGrid;
+using runner::TinyFixedSet;
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -49,64 +53,6 @@ std::string ReadFile(const std::string& path) {
 std::string FreshPath(const std::string& stem, const std::string& ext) {
   return ::testing::TempDir() + stem + "." +
          std::to_string(static_cast<long long>(::getpid())) + ext;
-}
-
-model::TaskSet TinyFixedSet(const model::DvsModel& dvs) {
-  model::Task a;
-  a.name = "a";
-  a.period = 10;
-  a.wcec = 8.0;
-  a.acec = 5.0;
-  a.bcec = 2.0;
-  model::Task b;
-  b.name = "b";
-  b.period = 20;
-  b.wcec = 12.0;
-  b.acec = 8.0;
-  b.bcec = 4.0;
-  return workload::ScaleToUtilization({a, b}, dvs, 0.6);
-}
-
-/// The exact grid behind tests/data/golden_smoke_grid.csv (lockstep with
-/// GoldenGrid in runner_golden_csv_test.cc and SmokeGrid in shard_grid).
-runner::ExperimentGrid GoldenGrid(const model::DvsModel& dvs) {
-  workload::RandomTaskSetOptions gen;
-  gen.num_tasks = 2;
-  gen.bcec_wcec_ratio = 0.3;
-  gen.max_sub_instances = 24;
-
-  runner::ExperimentGrid grid;
-  grid.dvs = &dvs;
-  grid.sources = {runner::RandomSource("random-2", gen, 2),
-                  runner::FixedSource("tiny-fixed", TinyFixedSet(dvs))};
-  grid.sigma_divisors = {6.0, 10.0};
-  grid.workload_seeds = {0, 1};
-  grid.methods = {"acs", "wcs", "static-vmax"};
-  grid.hyper_periods = 10;
-  grid.master_seed = 7;
-  return grid;
-}
-
-/// The grid behind tests/data/golden_planning_grid.csv.
-runner::ExperimentGrid GoldenPlanningGrid(const model::DvsModel& dvs) {
-  workload::RandomTaskSetOptions gen;
-  gen.num_tasks = 3;
-  gen.bcec_wcec_ratio = 0.3;
-  gen.max_sub_instances = 24;
-
-  runner::ExperimentGrid grid;
-  grid.dvs = &dvs;
-  grid.sources = {runner::RandomSource("random-3", gen, 1),
-                  runner::FixedSource("tiny-fixed", TinyFixedSet(dvs))};
-  grid.scenarios = {"iid-normal", "heavy-tail", "bimodal"};
-  grid.methods = {"acs", "acs-scenario", "acs-quantile", "acs-mixture",
-                  "wcs"};
-  grid.baseline = "acs";
-  grid.planning.calibration_samples = 256;
-  grid.planning.mixture_samples = 4;
-  grid.hyper_periods = 10;
-  grid.master_seed = 11;
-  return grid;
 }
 
 /// Runs `grid` serially with the full telemetry stack installed and
@@ -157,7 +103,7 @@ TEST(TelemetryGoldenBytes, SmokeGridUnchangedWithFullTelemetryOn) {
   const std::string convergence_path =
       FreshPath("telemetry_smoke_convergence", ".jsonl");
   const std::string fresh = RunWithTelemetry(
-      GoldenGrid(cpu), /*scenario_column=*/false, &metrics, &trace,
+      GoldenSmokeGrid(cpu), /*scenario_column=*/false, &metrics, &trace,
       convergence_path);
 
   const std::string golden =
@@ -290,7 +236,7 @@ TEST(TraceFormat, ChromeTraceNestsGridCellSolveWithCacheAnnotations) {
   TraceRecorder trace;
   const std::string convergence_path =
       FreshPath("trace_format_convergence", ".jsonl");
-  RunWithTelemetry(GoldenGrid(cpu), /*scenario_column=*/false, &metrics,
+  RunWithTelemetry(GoldenSmokeGrid(cpu), /*scenario_column=*/false, &metrics,
                    &trace, convergence_path);
   std::remove(convergence_path.c_str());
 

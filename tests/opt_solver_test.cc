@@ -1,5 +1,5 @@
-// Tests for the optimisation stack: SPG, L-BFGS, augmented Lagrangian and
-// the finite-difference reference.
+// Tests for the optimisation stack: SPG, augmented Lagrangian and the
+// finite-difference reference.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,7 +7,6 @@
 
 #include "opt/augmented_lagrangian.h"
 #include "opt/finite_diff.h"
-#include "opt/lbfgs.h"
 #include "opt/problem.h"
 #include "opt/spg.h"
 
@@ -114,28 +113,6 @@ TEST(Spg, RosenbrockConverges) {
   EXPECT_NEAR(x[0], 1.0, 1e-3);
   EXPECT_NEAR(x[1], 1.0, 1e-3);
   EXPECT_LT(report.final_value, 1e-6);
-}
-
-TEST(Lbfgs, RosenbrockConverges) {
-  const Rosenbrock f;
-  Vector x{-1.2, 1.0};
-  LbfgsOptions options;
-  options.max_iterations = 5000;  // Armijo-only line search is cautious in
-                                  // the banana valley
-  options.tolerance = 1e-6;
-  const LbfgsReport report = MinimizeLbfgs(f, x, options);
-  EXPECT_EQ(report.status, SolveStatus::kConverged);
-  EXPECT_NEAR(x[0], 1.0, 1e-4);
-  EXPECT_NEAR(x[1], 1.0, 1e-4);
-}
-
-TEST(Lbfgs, QuadraticInFewIterations) {
-  const Quadratic f({2.0, -1.0, 0.5, 4.0});
-  Vector x(4, 0.0);
-  const LbfgsReport report = MinimizeLbfgs(f, x);
-  EXPECT_EQ(report.status, SolveStatus::kConverged);
-  EXPECT_LT(report.iterations, 20u);
-  EXPECT_NEAR(x[3], 4.0, 1e-6);
 }
 
 TEST(Alm, EqualityConstrainedQuadratic) {

@@ -5,9 +5,8 @@
 // coverage, deterministic LPT assignment with exact tie-breaks.  The pool:
 // every cell of every family runs exactly once even when the assignment is
 // maximally lopsided (all families on worker 0 — the forced-steal case).
-// RunGrid: kFamilyAffinity results are bit-identical across 1 vs 4 threads
-// and identical to kCursor — the scheduling policy can move work between
-// workers but never a bit in the results.
+// RunGrid: results are bit-identical across 1 vs 4 threads — the family
+// schedule can move work between workers but never a bit in the results.
 #include "runner/family.h"
 
 #include <gtest/gtest.h>
@@ -97,7 +96,7 @@ TEST(FamilySchedule, OneContiguousFamilyPerSetIndexInWindow) {
   }
   EXPECT_GT(large_cost, small_cost);
 
-  // The assignment is a pure function of (grid, window, workers, weights).
+  // The assignment is a pure function of (grid, window, workers).
   const FamilySchedule again = BuildFamilySchedule(grid, 0, sets, 3);
   EXPECT_EQ(again.owner, schedule.owner);
   EXPECT_EQ(again.worker_cost, schedule.worker_cost);
@@ -219,25 +218,17 @@ void ExpectBitIdentical(const GridResult& a, const GridResult& b) {
   }
 }
 
-TEST(AffinityDeterminism, OneVsFourThreadsAndCursorAllBitIdentical) {
+TEST(AffinityDeterminism, OneVsFourThreadsBitIdentical) {
   const model::LinearDvsModel cpu = workload::DefaultModel();
   const ExperimentGrid grid = AffinityGrid(cpu);
 
-  const auto run = [&](int threads, CellScheduling scheduling) {
+  const auto run = [&](int threads) {
     RunOptions options;
     options.threads = threads;
-    options.scheduling = scheduling;
     return RunGrid(grid, options);
   };
 
-  const GridResult serial = run(1, CellScheduling::kFamilyAffinity);
-  const GridResult parallel = run(4, CellScheduling::kFamilyAffinity);
-  const GridResult cursor_serial = run(1, CellScheduling::kCursor);
-  const GridResult cursor_parallel = run(4, CellScheduling::kCursor);
-
-  ExpectBitIdentical(serial, parallel);
-  ExpectBitIdentical(serial, cursor_serial);
-  ExpectBitIdentical(serial, cursor_parallel);
+  ExpectBitIdentical(run(1), run(4));
 }
 
 }  // namespace

@@ -3,30 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "runner/experiment_grid.h"
+#include "runner/golden_grids.h"
 #include "util/error.h"
 #include "workload/presets.h"
 #include "workload/random_taskset.h"
 
 namespace dvs::runner {
 namespace {
-
-/// Two harmonic tasks scaled to a comfortable utilisation — a fast fixed
-/// set matching the default experiment processor.
-model::TaskSet TinyFixedSet(const model::DvsModel& dvs) {
-  model::Task a;
-  a.name = "a";
-  a.period = 10;
-  a.wcec = 8.0;
-  a.acec = 5.0;
-  a.bcec = 2.0;
-  model::Task b;
-  b.name = "b";
-  b.period = 20;
-  b.wcec = 12.0;
-  b.acec = 8.0;
-  b.bcec = 4.0;
-  return workload::ScaleToUtilization({a, b}, dvs, 0.6);
-}
 
 ExperimentGrid SmallGrid(const model::DvsModel& dvs) {
   // Tiny cells keep the full NLP solves test-sized: 2 tasks and a hard cap

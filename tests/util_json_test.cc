@@ -144,6 +144,8 @@ TEST(JsonParser, RejectsMalformedDocuments) {
   EXPECT_THROW(ParseJson("nul"), Error);
   EXPECT_THROW(ParseJson("1 2"), Error) << "trailing content";
   EXPECT_THROW(ParseJson("\"\\x\""), Error) << "unknown escape";
+  // A deep document must fail cleanly, not overflow the parser's stack.
+  EXPECT_THROW(ParseJson(std::string(200000, '[')), Error) << "too deep";
 }
 
 TEST(JsonParser, ErrorsCarryByteOffsets) {

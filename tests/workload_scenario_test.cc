@@ -274,15 +274,19 @@ TEST(LoadTraceScenario, ParsesCsvWithHeaderCommentsAndExtraColumns) {
   std::remove(path.c_str());
 }
 
-TEST(LoadTraceScenario, RejectsAbsoluteCycleRecordings) {
+TEST(LoadTraceScenario, RejectsFractionsOutsideUnitInterval) {
   // A recording in raw cycles (not normalised fractions) must fail loudly
-  // instead of clamping every job to WCEC.
-  const std::string path = ::testing::TempDir() + "trace_scenario_cycles.csv";
-  {
-    std::ofstream out(path);
-    out << "1200\n950\n1043\n";
+  // instead of clamping every job to WCEC.  NaN compares false against
+  // both bounds, so it needs its own check at the file boundary.
+  const std::string path = ::testing::TempDir() + "trace_scenario_range.csv";
+  for (const char* rows : {"1200\n950\n1043\n", "fraction\n0.5\nnan\n",
+                           "nan\n0.5\n", "0.5\n-nan\n", "0.5\ninf\n"}) {
+    {
+      std::ofstream out(path);
+      out << rows;
+    }
+    EXPECT_THROW(LoadTraceScenario(path), util::Error) << rows;
   }
-  EXPECT_THROW(LoadTraceScenario(path), util::Error);
   std::remove(path.c_str());
 }
 
