@@ -1,7 +1,7 @@
 // Google-benchmark micro-benchmarks for the computational kernels: fully
 // preemptive expansion, objective forward/gradient evaluation, the full
-// scheduler solve, the discrete-event simulator, and the dispatched SIMD
-// kernels (util/simd.h) at both levels.
+// scheduler solve, the discrete-event simulator, one expected-case online
+// dispatch, and the dispatched SIMD kernels (util/simd.h) at both levels.
 //
 // Every SIMD-dispatched benchmark takes a trailing 0/1 "simd" argument:
 // 0 pins the scalar level (the historical loops), 1 pins the best level
@@ -19,8 +19,11 @@
 #include "sim/policy.h"
 #include "stats/rng.h"
 #include "util/simd.h"
+#include "workload/calibrator.h"
+#include "workload/cnc.h"
 #include "workload/presets.h"
 #include "workload/random_taskset.h"
+#include "workload/scenario.h"
 
 namespace {
 
@@ -225,6 +228,58 @@ void BM_SimulateHyperPeriods(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulateHyperPeriods)->Arg(10)->Arg(100)
     ->Unit(benchmark::kMillisecond);
+
+/// Forwards to `inner` and records every context the engine dispatches,
+/// so BM_ExpectedCaseDispatch replays the dispatch mix of a real run.
+class RecordingPolicy final : public sim::DvsPolicy {
+ public:
+  RecordingPolicy(const sim::DvsPolicy& inner,
+                  std::vector<sim::DispatchContext>& contexts)
+      : inner_(&inner), contexts_(&contexts) {}
+
+  sim::DispatchDecision Dispatch(
+      const sim::DispatchContext& ctx) const override {
+    contexts_->push_back(ctx);
+    return inner_->Dispatch(ctx);
+  }
+
+ private:
+  const sim::DvsPolicy* inner_;
+  std::vector<sim::DispatchContext>* contexts_;
+};
+
+/// One acs-online dispatch (sim::ExpectedCasePolicy) on the CNC set's ACS
+/// plan, calibrated on the bimodal scenario; arg = DP bins.  The contexts
+/// are those of ten simulated hyper-periods under the same scenario.
+void BM_ExpectedCaseDispatch(benchmark::State& state) {
+  const model::LinearDvsModel cpu = workload::DefaultModel();
+  const model::TaskSet set = workload::CncTaskSet({}, cpu);
+  const fps::FullyPreemptiveSchedule fps(set);
+  const core::ScheduleResult plan = core::SolveAcs(fps, cpu);
+  const model::WorkloadScenario& bimodal =
+      workload::ScenarioRegistry::Builtin().Get("bimodal");
+  const workload::Calibration calibration =
+      workload::ScenarioCalibrator(&bimodal, 6.0).Calibrate(set, 5);
+  const sim::ExpectedCasePolicy policy(fps, plan.schedule, cpu,
+                                       calibration.sorted, state.range(0));
+
+  std::vector<sim::DispatchContext> contexts;
+  const auto sampler = bimodal.MakeSampler(set, 6.0);
+  stats::Rng rng(21);
+  sim::SimOptions options;
+  options.hyper_periods = 10;
+  sim::Simulate(fps, plan.schedule, cpu, RecordingPolicy(policy, contexts),
+                *sampler, rng, options);
+
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(policy.Dispatch(contexts[next]));
+    next = next + 1 == contexts.size() ? 0 : next + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["contexts"] = static_cast<double>(contexts.size());
+}
+BENCHMARK(BM_ExpectedCaseDispatch)->ArgName("bins")->Arg(8)->Arg(32);
 
 void BM_TruncatedNormalSampling(benchmark::State& state) {
   const model::TaskSet set = MakeSet(6, 17);

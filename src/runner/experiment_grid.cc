@@ -1,6 +1,7 @@
 #include "runner/experiment_grid.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "util/error.h"
@@ -169,6 +170,13 @@ void ExperimentGrid::Validate(const core::MethodRegistry& registry) const {
   ACS_REQUIRE(planning.calibration_samples >= planning.mixture_samples &&
                   planning.calibration_samples >= 2,
               "planning calibration samples must be >= max(2, mixture size)");
+  ACS_REQUIRE(online.dp_bins >= 1 && online.dp_bins <= 64,
+              "online DP bins must lie in [1, 64]");
+  ACS_REQUIRE(online.drift_ewma > 0.0 && online.drift_ewma <= 1.0,
+              "online drift EWMA weight must lie in (0, 1]");
+  ACS_REQUIRE(std::isfinite(online.drift_threshold) &&
+                  online.drift_threshold >= 0.0,
+              "online drift threshold must be finite and non-negative");
   ACS_REQUIRE(idle_power.power_per_ms >= 0.0,
               "idle power must be non-negative");
   ACS_REQUIRE(transition.time_per_volt >= 0.0 &&

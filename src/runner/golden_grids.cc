@@ -1,5 +1,6 @@
 #include "runner/golden_grids.h"
 
+#include "dpm/dpm.h"
 #include "workload/presets.h"
 #include "workload/random_taskset.h"
 
@@ -57,6 +58,24 @@ ExperimentGrid GoldenPlanningGrid(const model::DvsModel& dvs) {
   grid.planning.mixture_samples = 4;
   grid.hyper_periods = 10;
   grid.master_seed = 11;
+  return grid;
+}
+
+ExperimentGrid GoldenOnlineGrid(const model::DvsModel& dvs) {
+  ExperimentGrid grid;
+  grid.dvs = &dvs;
+  grid.sources = {FixedSource("tiny-fixed", TinyFixedSet(dvs))};
+  grid.scenarios = {"bimodal"};
+  grid.workload_seeds = {0, 1};
+  grid.methods = {"acs", "acs-online", "acs-online-drift"};
+  grid.baseline = "acs";
+  grid.planning.calibration_samples = 256;
+  grid.online.drift_threshold = 0.05;
+  grid.idle_power.power_per_ms = 0.05;
+  grid.dpm.enabled = true;
+  grid.dpm.sleep = dpm::ResolveSleepState("deep", grid.idle_power);
+  grid.hyper_periods = 20;
+  grid.master_seed = 13;
   return grid;
 }
 

@@ -1,11 +1,12 @@
 // The fixed grids behind the checked-in golden CSVs.
 //
-// tests/data/golden_smoke_grid.csv and tests/data/golden_planning_grid.csv
-// are the serial CsvSink output of these two grids.  The golden-bytes
-// tests, the shard and telemetry round-trips and tools/shard_grid (whose
-// merged shards CI compares against the goldens) all build them from here,
-// so no copy can drift from the files.  Changing either grid changes the
-// golden bytes: regenerate them with tests/data/regenerate_golden.sh.
+// tests/data/golden_smoke_grid.csv, golden_planning_grid.csv and
+// golden_online_grid.csv are the serial CsvSink output of these grids.
+// The golden-bytes tests, the shard and telemetry round-trips and
+// tools/shard_grid (whose merged shards CI compares against the goldens)
+// all build them from here, so no copy can drift from the files.
+// Changing any grid changes its golden bytes: regenerate them with
+// tests/data/regenerate_golden.sh.
 #ifndef ACS_RUNNER_GOLDEN_GRIDS_H
 #define ACS_RUNNER_GOLDEN_GRIDS_H
 
@@ -31,6 +32,13 @@ ExperimentGrid GoldenSmokeGrid(const model::DvsModel& dvs);
 /// planning-point threading, planned-solve caching or the mixture
 /// objective changes some byte.
 ExperimentGrid GoldenPlanningGrid(const model::DvsModel& dvs);
+
+/// The online-dispatch grid (golden_online_grid.csv): TinyFixedSet under
+/// the bimodal scenario with DPM sleep states on, acs against acs-online
+/// and acs-online-drift.  A hair-trigger drift threshold makes the drift
+/// arm replan, so any change to the expected-case dispatch profile, the
+/// drift adaptor or the DPM accounting of an online arm changes some byte.
+ExperimentGrid GoldenOnlineGrid(const model::DvsModel& dvs);
 
 }  // namespace dvs::runner
 

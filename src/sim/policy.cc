@@ -34,8 +34,12 @@ ExpectedCasePolicy::ExpectedCasePolicy(
     const model::DvsModel& dvs,
     const std::vector<std::vector<double>>& sorted_draws, std::int64_t bins,
     const std::vector<double>* task_scale)
-    : dvs_(&dvs), bins_(static_cast<std::size_t>(std::max<std::int64_t>(
-                      1, std::min<std::int64_t>(bins, 64)))) {
+    : dvs_(&dvs),
+      bins_(static_cast<std::size_t>(bins)),
+      smin_(dvs.MinSpeed()),
+      smax_(dvs.MaxSpeed()) {
+  ACS_REQUIRE(bins >= 1 && bins <= 64,
+              "ExpectedCasePolicy needs between 1 and 64 DP bins");
   const model::TaskSet& set = fps.task_set();
   ACS_REQUIRE(sorted_draws.size() == set.size(),
               "ExpectedCasePolicy needs one calibrated draw vector per task");
@@ -54,10 +58,11 @@ ExpectedCasePolicy::ExpectedCasePolicy(
     }
   }
 
-  // Per-task survival grids over [BCEC, WCEC]: survival_[i][k] is the
-  // fraction of calibrated draws strictly above the k-th grid point.
-  // Dispatch interpolates linearly, so grid resolution only smooths the
-  // profile, never breaks feasibility.
+  // Per-task grids over [BCEC, WCEC]: root_survival_[i][k] is the cube
+  // root of the fraction of calibrated draws strictly above the k-th grid
+  // point.  The PACE rule only ever needs S^{1/3}, so taking the roots here
+  // keeps cbrt out of Dispatch.  Dispatch interpolates the roots linearly,
+  // so grid resolution only smooths the profile, never breaks feasibility.
   constexpr std::size_t kGridPoints = 129;
   scale_.assign(set.size(), 1.0);
   if (task_scale != nullptr) {
@@ -69,7 +74,7 @@ ExpectedCasePolicy::ExpectedCasePolicy(
   }
   grid_lo_.resize(set.size(), 0.0);
   grid_step_.resize(set.size(), 0.0);
-  survival_.assign(set.size(), std::vector<double>(kGridPoints, 0.0));
+  root_survival_.assign(set.size(), std::vector<double>(kGridPoints, 0.0));
   for (std::size_t i = 0; i < set.size(); ++i) {
     const model::Task& task = set.task(i);
     grid_lo_[i] = task.bcec;
@@ -81,14 +86,14 @@ ExpectedCasePolicy::ExpectedCasePolicy(
       if (sorted.empty()) {
         // No calibration data: assume the worst (always reaches WCEC), which
         // degrades to the greedy stretch profile.
-        survival_[i][k] = x < task.wcec ? 1.0 : 0.0;
+        root_survival_[i][k] = x < task.wcec ? 1.0 : 0.0;
         continue;
       }
       // First index with sorted[idx] > x; the tail fraction is survival.
       const auto it = std::upper_bound(sorted.begin(), sorted.end(), x);
-      survival_[i][k] =
-          static_cast<double>(sorted.end() - it) /
-          static_cast<double>(sorted.size());
+      root_survival_[i][k] =
+          std::cbrt(static_cast<double>(sorted.end() - it) /
+                    static_cast<double>(sorted.size()));
     }
   }
 
@@ -97,12 +102,12 @@ ExpectedCasePolicy::ExpectedCasePolicy(
   pinned_.resize(bins_, 0);
 }
 
-double ExpectedCasePolicy::Survival(model::TaskIndex task,
-                                    double cycles) const {
+double ExpectedCasePolicy::RootSurvival(model::TaskIndex task,
+                                        double cycles) const {
   // Drift stretch: the adaptor models the shifted law as f * X, so
   // Pr[f X > c] = Pr[X > c / f] evaluated on the base grid.
   const double x = cycles / scale_[task];
-  const std::vector<double>& grid = survival_[task];
+  const std::vector<double>& grid = root_survival_[task];
   const double step = grid_step_[task];
   if (step <= 0.0) {
     // Degenerate BCEC == WCEC task: deterministic workload.
@@ -138,8 +143,10 @@ DispatchDecision ExpectedCasePolicy::Dispatch(
     return decision;
   }
 
-  const double smin = dvs_->MinSpeed();
-  const double smax = dvs_->MaxSpeed();
+  // Local copies: the compiler cannot prove the scratch stores below leave
+  // the members alone, and would reload them in every water-fill pass.
+  const double smin = smin_;
+  const double smax = smax_;
   if (budget / smax >= window) {
     // Even flat-out barely (or doesn't) fit: the whole window runs at Vmax,
     // exactly the greedy clamp.
@@ -154,7 +161,7 @@ DispatchDecision ExpectedCasePolicy::Dispatch(
   const double bin_w = budget / static_cast<double>(bins_);
   double total_weight = 0.0;
   for (std::size_t j = 0; j < bins_; ++j) {
-    weight_[j] = Survival(
+    weight_[j] = RootSurvival(
         ctx.task, consumed + (static_cast<double>(j) + 0.5) * bin_w);
     total_weight += weight_[j];
   }
@@ -166,11 +173,12 @@ DispatchDecision ExpectedCasePolicy::Dispatch(
   }
   ++dp_dispatches_;
 
-  // Water-filling over the PACE rule s_j ∝ S_j^{-1/3}: bins with zero
-  // weight cost nothing at any speed, so they run at MaxSpeed to donate
-  // window time; bins whose unconstrained optimum leaves [smin, smax] are
-  // pinned to the violated bound and the rest re-normalised.  Each pass
-  // pins at least one bin, so the loop runs at most bins_ passes.
+  // Water-filling over the PACE rule s_j ∝ S_j^{-1/3} = 1 / weight_j
+  // (weight_ already holds the cube roots): bins with zero weight cost
+  // nothing at any speed, so they run at MaxSpeed to donate window time;
+  // bins whose unconstrained optimum leaves [smin, smax] are pinned to the
+  // violated bound and the rest re-normalised.  Each pass pins at least
+  // one bin, so the loop runs at most bins_ passes.
   double pinned_time = 0.0;
   for (std::size_t j = 0; j < bins_; ++j) {
     if (weight_[j] <= 0.0) {
@@ -182,11 +190,11 @@ DispatchDecision ExpectedCasePolicy::Dispatch(
     }
   }
   while (true) {
-    double cbrt_sum = 0.0;
+    double root_sum = 0.0;
     std::size_t free_bins = 0;
     for (std::size_t j = 0; j < bins_; ++j) {
       if (pinned_[j] == 0) {
-        cbrt_sum += std::cbrt(weight_[j]);
+        root_sum += weight_[j];
         ++free_bins;
       }
     }
@@ -205,12 +213,12 @@ DispatchDecision ExpectedCasePolicy::Dispatch(
       }
       break;
     }
-    const double scale = bin_w * cbrt_sum / free_time;
+    const double scale = bin_w * root_sum / free_time;
     bool repinned = false;
     // Pin max-speed violations first: they *consume* window time, so
     // resolving them before min-speed pins keeps every pass feasible.
     for (std::size_t j = 0; j < bins_; ++j) {
-      if (pinned_[j] == 0 && scale / std::cbrt(weight_[j]) > smax) {
+      if (pinned_[j] == 0 && scale / weight_[j] > smax) {
         pinned_[j] = 1;
         speed_[j] = smax;
         pinned_time += bin_w / smax;
@@ -221,7 +229,7 @@ DispatchDecision ExpectedCasePolicy::Dispatch(
       continue;
     }
     for (std::size_t j = 0; j < bins_; ++j) {
-      if (pinned_[j] == 0 && scale / std::cbrt(weight_[j]) < smin) {
+      if (pinned_[j] == 0 && scale / weight_[j] < smin) {
         pinned_[j] = 1;
         speed_[j] = smin;
         pinned_time += bin_w / smin;
@@ -233,7 +241,7 @@ DispatchDecision ExpectedCasePolicy::Dispatch(
     }
     for (std::size_t j = 0; j < bins_; ++j) {
       if (pinned_[j] == 0) {
-        speed_[j] = scale / std::cbrt(weight_[j]);
+        speed_[j] = scale / weight_[j];
       }
     }
     break;
@@ -241,17 +249,16 @@ DispatchDecision ExpectedCasePolicy::Dispatch(
 
   // Run the first bin's speed and cap the slice at the end of the
   // equal-speed prefix, so a flat profile dispatches once while a shaped
-  // one re-dispatches exactly at its breakpoints.
-  double cap = bin_w;
-  for (std::size_t j = 1; j < bins_; ++j) {
-    if (std::fabs(speed_[j] - speed_[0]) > 1e-12) {
-      break;
-    }
-    cap += bin_w;
+  // one re-dispatches exactly at its breakpoints.  The prefix is counted
+  // in bins, not summed in cycles: a sum of bins_ widths can round below
+  // the budget and cap a flat profile one rounding error short of it.
+  std::size_t prefix = 1;
+  while (prefix < bins_ && std::fabs(speed_[prefix] - speed_[0]) <= 1e-12) {
+    ++prefix;
   }
   decision.voltage = dvs_->ClampVoltage(dvs_->VoltageForSpeed(speed_[0]));
-  if (cap < budget) {
-    decision.cycle_cap = cap;
+  if (prefix < bins_) {
+    decision.cycle_cap = bin_w * static_cast<double>(prefix);
   }
   return decision;
 }

@@ -130,9 +130,19 @@ class StaticOnlyPolicy final : public DvsPolicy {
 ///
 /// All tables (per-sub worst-case prefix cycles, per-task survival grids)
 /// are precomputed at construction; Dispatch touches only fixed-size
-/// scratch, so the engine's hot loop stays allocation-free.  `task_scale`
-/// (optional) stretches task i's calibrated law by scale[i] — the drift
-/// adaptor's cheap mid-run re-conditioning knob (Pr[f·X > x] = Pr[X > x/f]).
+/// scratch, so the engine's hot loop stays allocation-free.  The survival
+/// grid is stored as its cube roots: the PACE rule needs only S^{1/3}, so
+/// Dispatch interpolates the roots directly and calls no cbrt (a root is
+/// <= 0 exactly when its survival is, so the zero-weight pins carry over).
+/// Interpolating roots rather than survivals moves a speed profile only
+/// between grid points; feasibility never depends on the weights.  The
+/// receding horizon stays: following the first profile for the whole sub
+/// without re-solving is 5x cheaper but costs up to +1.3% energy per
+/// scenario in bench_online_adaptive, because it stops conditioning on
+/// realised progress.
+/// `bins` must lie in [1, 64].  `task_scale` (optional) stretches task i's
+/// calibrated law by scale[i] — the drift adaptor's cheap mid-run
+/// re-conditioning knob (Pr[f·X > x] = Pr[X > x/f]).
 class ExpectedCasePolicy final : public DvsPolicy {
  public:
   ExpectedCasePolicy(const fps::FullyPreemptiveSchedule& fps,
@@ -147,21 +157,29 @@ class ExpectedCasePolicy final : public DvsPolicy {
   /// Dispatches that went through the DP profile (vs degenerate fallbacks).
   std::int64_t dp_dispatches() const { return dp_dispatches_; }
 
+  /// Per-bin speeds (cycles/ms) the last DP dispatch chose; the dispatch
+  /// itself runs only the first bin's speed.
+  const std::vector<double>& last_profile() const { return speed_; }
+
  private:
-  double Survival(model::TaskIndex task, double cycles) const;
+  /// Cube root of Pr[X > cycles] for `task`, interpolated on its grid.
+  double RootSurvival(model::TaskIndex task, double cycles) const;
 
   const model::DvsModel* dvs_;
   std::size_t bins_;
+  double smin_;  // dvs_->MinSpeed(), fixed for the policy's lifetime
+  double smax_;  // dvs_->MaxSpeed()
   std::vector<double> budgets_;      // per sub: worst-case budget
   std::vector<double> done_before_;  // per sub: parent cycles before it
   std::vector<double> scale_;        // per task: drift stretch factor
   std::vector<double> grid_lo_;      // per task: survival grid origin (BCEC)
   std::vector<double> grid_step_;    // per task: survival grid spacing
-  std::vector<std::vector<double>> survival_;  // per task: P(X > grid point)
+  // per task: cbrt(P(X > grid point))
+  std::vector<std::vector<double>> root_survival_;
   // Dispatch-time scratch, sized once at construction (hot loop stays
   // allocation-free).  The policy is used by a single simulation at a time
   // (the engine contract), so mutable scratch is safe.
-  mutable std::vector<double> weight_;
+  mutable std::vector<double> weight_;  // per bin: cbrt of its survival
   mutable std::vector<double> speed_;
   mutable std::vector<char> pinned_;
   mutable std::int64_t dp_dispatches_ = 0;

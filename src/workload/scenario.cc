@@ -1,6 +1,7 @@
 #include "workload/scenario.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -341,7 +342,15 @@ std::unique_ptr<model::WorkloadScenario> LoadTraceScenario(
     char* end = nullptr;
     const double value = std::strtod(field.c_str(), &end);
     if (end == field.c_str() || *end != '\0') {
-      if (first_row) {
+      // Only text is a header: a first row that begins like a number (a
+      // digit, a sign or a point) is a mistyped value and must not be
+      // dropped silently.
+      const bool numeric_start =
+          !field.empty() &&
+          (std::isdigit(static_cast<unsigned char>(field.front())) != 0 ||
+           field.front() == '+' || field.front() == '-' ||
+           field.front() == '.');
+      if (first_row && !numeric_start) {
         first_row = false;  // header row
         continue;
       }

@@ -12,16 +12,20 @@
 #                             intended, and say so in the commit message;
 #   golden_planning_grid.csv  the scenario-conditioned planning-arm grid
 #                             (scenario column + acs-scenario/quantile/
-#                             mixture rows).
+#                             mixture rows);
+#   golden_online_grid.csv    the online-dispatch grid (acs-online and
+#                             acs-online-drift under DPM, DPM ledger
+#                             columns).
 #
 # Usage (from the repo root, after building):
 #
 #   tests/data/regenerate_golden.sh [--check] [build-dir] [gtest-filter]
 #
-# Defaults: build-dir "build", filter the planning golden only.  To also
+# Defaults: build-dir "build", filter the planning golden only.  To
+# regenerate the online golden, pass '*SerialOnlineGrid*'; to also
 # regenerate the legacy golden, pass '*GoldenCsv*' as the filter.
 #
-# --check runs BOTH golden tests at the scalar SIMD level without touching
+# --check runs EVERY golden test at the scalar SIMD level without touching
 # the checked-in files and fails on any byte difference — the CI lane that
 # proves the working tree still reproduces its own goldens (a vector-
 # dispatch or warm-start default accidentally changing bytes trips here).

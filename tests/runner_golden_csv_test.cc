@@ -2,7 +2,7 @@
 // byte-match the files under tests/data/.  The workspace bit-equality tests
 // catch FP-order drift *within* one binary; this file catches it *across*
 // commits — any change to the pipeline's arithmetic, seeding, CSV schema or
-// formatting shows up as a byte diff here.  Two goldens:
+// formatting shows up as a byte diff here.  Three goldens:
 //
 //   golden_smoke_grid.csv     the legacy default-pipeline grid, generated
 //                             by the pre-scenario tree — byte-identity here
@@ -12,9 +12,13 @@
 //                             acs-scenario / acs-quantile / acs-mixture
 //                             rows) — byte-identity pins the calibration,
 //                             planning-point threading and planned-solve
-//                             caching end to end.
+//                             caching end to end;
+//   golden_online_grid.csv    the online-dispatch grid (acs-online and
+//                             acs-online-drift under DPM, with the DPM
+//                             ledger columns) — pins the expected-case
+//                             dispatch profile and the drift replans.
 //
-// Both grids are defined once, in runner/golden_grids.h.  Regenerate
+// All grids are defined once, in runner/golden_grids.h.  Regenerate
 // deliberately with tests/data/regenerate_golden.sh (sets
 // ACS_REGENERATE_GOLDEN so each test overwrites its golden instead of
 // comparing) only when an output change is intended and documented.
@@ -139,6 +143,40 @@ TEST(GoldenCsv, SerialPlanningGridByteMatchesCheckedInFile) {
   EXPECT_EQ(fresh, golden)
       << "planning-arm output drifted; if intended, regenerate "
          "tests/data/golden_planning_grid.csv with "
+         "tests/data/regenerate_golden.sh";
+  std::remove(fresh_path.c_str());
+}
+
+TEST(GoldenCsv, SerialOnlineGridByteMatchesCheckedInFile) {
+  // Scalar pin, same rationale as the legacy golden above.
+  const util::simd::ScopedLevel scalar(util::simd::Level::kScalar);
+  const model::LinearDvsModel cpu = workload::DefaultModel();
+  const ExperimentGrid grid = GoldenOnlineGrid(cpu);
+
+  const std::string fresh_path = FreshPath("golden_online_grid_fresh");
+  {
+    CsvSink sink(fresh_path, /*scenario_column=*/true,
+                 /*solver_stats_columns=*/false, /*dpm_columns=*/true);
+    RunOptions options;
+    options.threads = 1;  // serial: rows stream in cell order
+    options.sink = &sink;
+    const GridResult result = RunGrid(grid, options);
+    ASSERT_EQ(result.failed_cells, 0u);
+    ASSERT_EQ(sink.rows(), grid.CellCount() * grid.methods.size());
+  }
+
+  const std::string golden_path =
+      std::string(ACS_TEST_DATA_DIR) + "/golden_online_grid.csv";
+  if (MaybeRegenerate(fresh_path, golden_path)) {
+    std::remove(fresh_path.c_str());
+    GTEST_SKIP() << "golden regenerated, comparison skipped";
+  }
+  const std::string golden = ReadFile(golden_path);
+  const std::string fresh = ReadFile(fresh_path);
+  ASSERT_FALSE(golden.empty());
+  EXPECT_EQ(fresh, golden)
+      << "online-dispatch output drifted; if intended, regenerate "
+         "tests/data/golden_online_grid.csv with "
          "tests/data/regenerate_golden.sh";
   std::remove(fresh_path.c_str());
 }

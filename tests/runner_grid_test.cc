@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "runner/experiment_grid.h"
 #include "runner/golden_grids.h"
 #include "util/error.h"
@@ -87,6 +90,35 @@ TEST(ExperimentGrid, ValidateRejectsBadGrids) {
   ExperimentGrid bad_baseline = SmallGrid(cpu);
   bad_baseline.methods = {"acs", "static-vmax"};  // baseline "wcs" missing
   EXPECT_THROW(bad_baseline.Validate(registry), util::InvalidArgumentError);
+}
+
+TEST(ExperimentGrid, ValidateRejectsOutOfRangeOnlineOptions) {
+  const model::LinearDvsModel cpu = workload::DefaultModel();
+  const core::MethodRegistry& registry = core::MethodRegistry::Builtin();
+  const auto rejects = [&](const auto& mutate) {
+    ExperimentGrid grid = SmallGrid(cpu);
+    mutate(grid.online);
+    EXPECT_THROW(grid.Validate(registry), util::InvalidArgumentError);
+  };
+  rejects([](core::OnlineOptions& o) { o.dp_bins = 0; });
+  rejects([](core::OnlineOptions& o) { o.dp_bins = 65; });
+  rejects([](core::OnlineOptions& o) { o.drift_ewma = 0.0; });
+  rejects([](core::OnlineOptions& o) { o.drift_ewma = 7.0; });
+  rejects([](core::OnlineOptions& o) { o.drift_ewma = std::nan(""); });
+  rejects([](core::OnlineOptions& o) { o.drift_threshold = -0.1; });
+  rejects([](core::OnlineOptions& o) {
+    o.drift_threshold = std::numeric_limits<double>::infinity();
+  });
+  rejects([](core::OnlineOptions& o) { o.drift_threshold = std::nan(""); });
+
+  // The ends of every range are accepted.
+  ExperimentGrid edges = SmallGrid(cpu);
+  edges.online.dp_bins = 64;
+  edges.online.drift_ewma = 1.0;
+  edges.online.drift_threshold = 0.0;
+  edges.Validate(registry);
+  edges.online.dp_bins = 1;
+  edges.Validate(registry);
 }
 
 TEST(RunGrid, UnknownMethodFailsBeforeRunningCells) {

@@ -3,11 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "dpm/dpm.h"
 #include "fps/expansion.h"
 #include "model/workload.h"
 #include "sim/policy.h"
 #include "sim/trace.h"
+#include "stats/rng.h"
 #include "util/error.h"
 #include "util/math.h"
 #include "workload/motivation.h"
@@ -302,6 +307,159 @@ TEST(GreedyPolicy, ZeroWindowAndZeroBudgetClampToVmax) {
   ctx.local_time = 2.0;
   ctx.sub_end_time = 6.0;  // positive window
   EXPECT_DOUBLE_EQ(policy.Dispatch(ctx).voltage, cpu.vmax());
+}
+
+// ExpectedCasePolicy on a one-task plan: task "solo" (period 10, WCEC 8,
+// BCEC 2) has a single sub-instance owning [0, 10] with the whole 8-cycle
+// budget, so a context's consumed cycles are 8 - budget_remaining.
+struct OnlinePlan {
+  OnlinePlan()
+      : harness(model::TaskSet({MakeTask("solo", 10, 8.0)})),
+        schedule(harness.fps, {10.0}, {8.0}) {}
+
+  ExpectedCasePolicy Policy(std::vector<double> sorted_draws,
+                            std::int64_t bins = 8,
+                            const std::vector<double>* scale = nullptr) const {
+    return ExpectedCasePolicy(harness.fps, schedule, harness.cpu,
+                              {std::move(sorted_draws)}, bins, scale);
+  }
+
+  static DispatchContext Context(double budget, double now) {
+    DispatchContext ctx;
+    ctx.budget_remaining = budget;
+    ctx.local_time = now;
+    ctx.sub_end_time = 10.0;
+    ctx.sub_release = 0.0;
+    ctx.instance_deadline = 10.0;
+    return ctx;
+  }
+
+  Harness harness;
+  StaticSchedule schedule;
+};
+
+TEST(ExpectedCasePolicy, GatesBeforeSegmentStart) {
+  const OnlinePlan plan;
+  const ExpectedCasePolicy policy = plan.Policy({});
+  DispatchContext ctx = OnlinePlan::Context(8.0, 1.0);
+  ctx.sub_release = 3.0;
+  const DispatchDecision d = policy.Dispatch(ctx);
+  ASSERT_TRUE(d.not_before.has_value());
+  EXPECT_DOUBLE_EQ(*d.not_before, 3.0);
+  EXPECT_DOUBLE_EQ(d.voltage, plan.harness.cpu.vmax());
+  EXPECT_EQ(policy.dp_dispatches(), 0);
+}
+
+TEST(ExpectedCasePolicy, DegenerateWindowRunsAtVmax) {
+  const OnlinePlan plan;
+  const ExpectedCasePolicy policy = plan.Policy({});
+  const double vmax = plan.harness.cpu.vmax();
+  // Zero window, spent budget, and a window that only Vmax fills (8 cycles
+  // at MaxSpeed 4 take exactly the 2 ms left).
+  for (const DispatchContext& ctx :
+       {OnlinePlan::Context(8.0, 10.0), OnlinePlan::Context(0.0, 2.0),
+        OnlinePlan::Context(8.0, 8.0)}) {
+    const DispatchDecision d = policy.Dispatch(ctx);
+    EXPECT_DOUBLE_EQ(d.voltage, vmax);
+    EXPECT_FALSE(d.not_before.has_value());
+    EXPECT_FALSE(d.cycle_cap.has_value());
+  }
+  EXPECT_EQ(policy.dp_dispatches(), 0);
+}
+
+TEST(ExpectedCasePolicy, SurvivalPastEveryDrawFallsBackToGreedyStretch) {
+  const OnlinePlan plan;
+  // Every calibrated draw is 3 cycles; 4 are already consumed, so no bin
+  // of the remaining budget is ever reached.
+  const ExpectedCasePolicy policy = plan.Policy(std::vector<double>(16, 3.0));
+  const DispatchDecision d = policy.Dispatch(OnlinePlan::Context(4.0, 4.0));
+  EXPECT_DOUBLE_EQ(d.voltage, plan.harness.cpu.VoltageForWork(4.0, 6.0));
+  EXPECT_FALSE(d.cycle_cap.has_value());
+  EXPECT_EQ(policy.dp_dispatches(), 0);
+}
+
+TEST(ExpectedCasePolicy, FlatProfileSetsNoCycleCap) {
+  const OnlinePlan plan;
+  // No calibration data: every bin below WCEC is reached, so all weights
+  // are equal and the profile is the greedy stretch, 8 cycles over 10 ms.
+  const ExpectedCasePolicy policy = plan.Policy({});
+  const DispatchDecision d = policy.Dispatch(OnlinePlan::Context(8.0, 0.0));
+  EXPECT_NEAR(d.voltage, 0.8, 1e-12);
+  EXPECT_FALSE(d.cycle_cap.has_value());
+  EXPECT_EQ(policy.dp_dispatches(), 1);
+  for (double speed : policy.last_profile()) {
+    EXPECT_NEAR(speed, 0.8, 1e-12);
+  }
+}
+
+// On random calibrations and contexts, every DP profile fits the window
+// (the worst-case guarantee), stays in the speed range, and never slows
+// down across bins (survival only falls, so later bins weigh less).  The
+// dispatch runs the first bin and caps the slice at its equal-speed run.
+TEST(ExpectedCasePolicy, RandomProfilesFitTheWindowAndNeverSlowDown) {
+  const OnlinePlan plan;
+  const double smin = plan.harness.cpu.MinSpeed();
+  const double smax = plan.harness.cpu.MaxSpeed();
+  stats::Rng rng(2026);
+  const std::vector<double> stretch = {0.7};
+  std::int64_t profiles = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    std::vector<double> draws(64);
+    const double mode = rng.Uniform(2.0, 8.0);
+    for (double& x : draws) {
+      x = std::min(8.0, std::max(2.0, mode + rng.Uniform(-1.5, 1.5)));
+    }
+    std::sort(draws.begin(), draws.end());
+    const std::int64_t bins = std::int64_t{1} << (trial % 7);  // 1..64
+    const ExpectedCasePolicy policy =
+        plan.Policy(draws, bins, trial % 2 == 0 ? nullptr : &stretch);
+    const double budget = rng.Uniform(0.05, 8.0);
+    const double now = rng.Uniform(0.0, 9.9);
+    const double window = 10.0 - now;
+    const DispatchDecision d =
+        policy.Dispatch(OnlinePlan::Context(budget, now));
+    if (policy.dp_dispatches() == 0) {
+      continue;  // Vmax clamp or greedy fallback, covered above
+    }
+    ++profiles;
+    const std::vector<double>& speeds = policy.last_profile();
+    ASSERT_EQ(speeds.size(), static_cast<std::size_t>(bins));
+    const double bin_w = budget / static_cast<double>(bins);
+    double time = 0.0;
+    std::size_t first_run = 0;
+    for (std::size_t j = 0; j < speeds.size(); ++j) {
+      EXPECT_GE(speeds[j], smin - 1e-12) << "trial " << trial;
+      EXPECT_LE(speeds[j], smax + 1e-12) << "trial " << trial;
+      if (j > 0) {
+        EXPECT_GE(speeds[j], speeds[j - 1] - 1e-12) << "trial " << trial;
+      }
+      if (first_run == j && std::fabs(speeds[j] - speeds[0]) <= 1e-12) {
+        ++first_run;
+      }
+      time += bin_w / speeds[j];
+    }
+    EXPECT_LE(time, window * (1.0 + 1e-12)) << "trial " << trial;
+    EXPECT_NEAR(d.voltage,
+                plan.harness.cpu.ClampVoltage(
+                    plan.harness.cpu.VoltageForSpeed(speeds[0])),
+                1e-12);
+    if (first_run == speeds.size()) {
+      EXPECT_FALSE(d.cycle_cap.has_value()) << "trial " << trial;
+    } else {
+      ASSERT_TRUE(d.cycle_cap.has_value()) << "trial " << trial;
+      EXPECT_NEAR(*d.cycle_cap, bin_w * static_cast<double>(first_run),
+                  1e-9 * budget);
+    }
+  }
+  EXPECT_GT(profiles, 100);
+}
+
+TEST(ExpectedCasePolicy, RejectsBinCountsOutsideOneTo64) {
+  const OnlinePlan plan;
+  EXPECT_THROW(plan.Policy({}, 0), util::InvalidArgumentError);
+  EXPECT_THROW(plan.Policy({}, 65), util::InvalidArgumentError);
+  EXPECT_NO_THROW(plan.Policy({}, 1));
+  EXPECT_NO_THROW(plan.Policy({}, 64));
 }
 
 // Engine-level wrap-boundary companion: a sub-instance whose worst-case

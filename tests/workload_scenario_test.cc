@@ -290,6 +290,21 @@ TEST(LoadTraceScenario, RejectsFractionsOutsideUnitInterval) {
   std::remove(path.c_str());
 }
 
+TEST(LoadTraceScenario, RejectsMistypedFirstRowInsteadOfSkippingIt) {
+  // Only a first row of text is a header; one that begins like a number is
+  // a data row with a typo, and dropping it would shorten the replay.
+  const std::string path = ::testing::TempDir() + "trace_scenario_typo.csv";
+  for (const char* rows : {"0.9x\n0.1\n", "-0.2a\n0.3\n", ".5;\n0.1\n",
+                           "+\n0.4\n"}) {
+    {
+      std::ofstream out(path);
+      out << rows;
+    }
+    EXPECT_THROW(LoadTraceScenario(path), util::Error) << rows;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(LoadTraceScenario, RejectsMissingAndEmptyFiles) {
   EXPECT_THROW(LoadTraceScenario("/nonexistent-dir/trace.csv"), util::Error);
   const std::string path = ::testing::TempDir() + "trace_scenario_empty.csv";
